@@ -159,6 +159,7 @@ class DtlController:
                 self.device, self.allocator, self.tables, self.translation,
                 self.migration, self.policy_config, policy=self.policy,
                 registry=self.metrics, trace=self.trace)
+            self.self_refresh.power_down = self.power_down
         self.retirement: RankRetirementManager | None = None
         if self.power_down is not None:
             self.retirement = RankRetirementManager(

@@ -200,6 +200,9 @@ class HotnessSelfRefreshPolicy:
         self._idle_gap_hist = registry.histogram("policy.rank_idle_gap_ns")
         # Armed fault injector (None = zero-overhead no-op hooks).
         self._faults = None
+        #: The rank power-down host, wired in by the controller when both
+        #: policies run; its pending power-downs fence ranks from swaps.
+        self.power_down = None
 
     def arm_faults(self, injector) -> None:
         """Attach (or with ``None`` detach) a fault injector."""
@@ -755,20 +758,27 @@ class HotnessSelfRefreshPolicy:
         the next profiling round.  Swaps touching an in-flight migration
         endpoint are dropped for the same reason: a tracked *source* must
         keep its mapping until the engine retires it, and a tracked
-        *target* is reserved (allocated but unmapped), not free.
+        *target* is reserved (allocated but unmapped), not free.  So are
+        swaps whose partner rank is a victim of a pending power-down: the
+        rank is fenced but stays in standby while its evacuation copies
+        drain, and data moved into it would be parked in MPSM with it.
         """
         busy: set[int] = set()
         for request in self.migration.tracked_requests():
             busy.add(request.old_dsn)
             busy.add(request.new_dsn)
+        fenced: set[tuple[int, int]] = set()
+        if self.power_down is not None:
+            for pending in self.power_down.pending_power_downs():
+                fenced.update(pending.victims)
         migrated = 0
         for victim_dsn, partner_dsn in swaps:
             if victim_dsn in busy or partner_dsn in busy:
                 continue
             partner_rank = (self._channel_of(partner_dsn),
                             self._rank_of(partner_dsn))
-            if self.device.rank(*partner_rank).state \
-                    is not PowerState.STANDBY:
+            if partner_rank in fenced or self.device.rank(
+                    *partner_rank).state is not PowerState.STANDBY:
                 continue
             victim_live = self.tables.is_dsn_live(victim_dsn)
             partner_live = self.tables.is_dsn_live(partner_dsn)

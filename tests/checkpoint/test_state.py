@@ -42,10 +42,13 @@ def test_unpicklable_state_fails_loudly():
 
 
 def test_version_mismatch_refuses_restore():
-    stale = dataclasses.replace(snapshot("demo", 0, {}),
-                                version=CHECKPOINT_VERSION + 1)
-    with pytest.raises(CheckpointError, match="version"):
-        restore(stale)
+    # Both directions: a blob from a newer revision, and one written
+    # before the last format change (v1 still carried the SMC layout).
+    for version in (CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION - 1):
+        stale = dataclasses.replace(snapshot("demo", 0, {}),
+                                    version=version)
+        with pytest.raises(CheckpointError, match="version"):
+            restore(stale)
 
 
 def test_save_load_round_trip(tmp_path):

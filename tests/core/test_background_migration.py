@@ -1,5 +1,6 @@
 """Tests for background (idle-bandwidth) consolidation migration."""
 
+import numpy as np
 import pytest
 
 from repro.core.checker import check
@@ -138,3 +139,68 @@ class TestSynchronousDefault:
         controller.deallocate_vm(vm_a, now_s=2.0)
         assert controller.migration.pending_count() == 0
         assert not controller.power_down.pending_power_downs()
+
+
+class TestSelfRefreshDuringPendingPowerDown:
+    def test_sr_swaps_never_move_data_into_fenced_ranks(self):
+        """Self-refresh entry while a power-down is still copying.
+
+        The fenced victim ranks stay in standby until their evacuation
+        drains, so the self-refresh planner sees them as ordinary target
+        ranks.  Hot segments planned into them must stay put: once the
+        copies drain, the ranks are parked in MPSM, which loses data.
+        """
+        geometry = DramGeometry(channels=2, ranks_per_channel=4,
+                                rank_bytes=64 * MIB)
+        controller = DtlController(DtlConfig(
+            geometry=geometry, au_bytes=4 * MIB, background_migration=True,
+            window_ns=1000.0, profiling_threshold_ns=5000.0))
+        # One segment per channel per VM: ranks 0 and 1 fill up, rank 2
+        # keeps two segments per channel, rank 3 stays empty.
+        vms = [controller.allocate_vm(0, 4 * MIB) for _ in range(66)]
+        for vm in vms[:2]:
+            controller.deallocate_vm(vm)
+        policy = controller.power_down
+        pending = policy.pending_power_downs()
+        assert len(pending) == 1
+        fenced = set(pending[0].victims)
+        assert {rank for _, rank in fenced} == {2}
+        layout = controller.device_layout
+        seg = geometry.segment_bytes
+
+        def hpas_in_rank(rank: int) -> np.ndarray:
+            return np.array([controller.tables.hsn_of_dsn(dsn) * seg
+                             for dsn in controller.tables.live_dsns()
+                             if layout.rank_of_dsn(dsn) == rank],
+                            dtype=np.int64)
+
+        # Keep rank 2 busy for one window so rank 0 is the SR victim, then
+        # heat rank 0 up while profiling: its segments get planned onto
+        # cold partners in ranks 1 and 2.
+        warm = np.tile(hpas_in_rank(2), 4)
+        controller.access_batch(0, warm, np.zeros(len(warm), dtype=bool))
+        controller.end_window()
+        controller.tick(100.0)
+        sr = controller.self_refresh
+        assert all(sr.victim_ranks(channel) == (0,) for channel in range(2))
+        hot = hpas_in_rank(0)
+        controller.access_batch(0, hot, np.zeros(len(hot), dtype=bool),
+                                now_ns=200.0)
+        planned_ranks = {(layout.channel_of_dsn(int(target)),
+                          layout.rank_of_dsn(int(target)))
+                         for dsn, target in enumerate(sr.planned)
+                         if target != dsn}
+        assert planned_ranks & fenced, "plan never targeted a fenced rank"
+        controller.tick(200.0 + 6000.0)
+        assert policy.pending_power_downs(), "copies drained too early"
+        assert all(controller.device.ranks[(channel, 0)].state
+                   is PowerState.SELF_REFRESH for channel in range(2))
+        for _ in range(100):
+            if not policy.pending_power_downs():
+                break
+            controller.pump_migrations(now_s=1.0, lines=4096)
+        assert not policy.pending_power_downs()
+        for rank_id in fenced:
+            assert controller.device.ranks[rank_id].state is PowerState.MPSM
+            assert controller.allocator.usage(rank_id).allocated == 0
+        check(controller)

@@ -1,48 +1,41 @@
-"""Seam coverage for the vectorised fallbacks and SoA cache layouts.
+"""Seam coverage for the vectorised fallbacks and the SoA cache classes.
 
 The batch datapath has three "seams" where vectorised code hands work to
-order-sensitive protocol code: replay-chunk boundaries in the SMC lookup,
+order-sensitive protocol code: chunk boundaries in the SMC lookup,
 migration write routing, and the self-refresh event loop.  These tests
 pin the seams exactly — chunk-edge migration writes, PROFILING channels
 with a rank dropping to MPSM mid-batch, rank decodes with non-zero
-segment-index bits — under both the SoA and the legacy dict cache
-layouts, plus the numba kernel flag on and off.
+segment-index bits.  The SoA cache classes themselves are mirrored
+against a small OrderedDict LRU model kept in this file.
 """
 
 from __future__ import annotations
 
-import importlib
 import warnings
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
-from repro.core import _kernels
 from repro.core.addressing import DeviceAddressLayout, SegmentLocation
 from repro.core.controller import (SCALAR_ACCESS_WARN_THRESHOLD,
                                    DtlController)
-from repro.core.segment_cache import (DictFullyAssociativeCache,
-                                      DictSetAssociativeCache,
-                                      FullyAssociativeCache,
+from repro.core.segment_cache import (FullyAssociativeCache,
                                       SegmentCacheConfig,
                                       SetAssociativeCache)
 from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import PerformanceWarning, PowerStateError
-from repro.units import MIB
 
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
                                             assert_state_match, build_pair,
                                             random_trace, run_scalar,
                                             small_config)
 
-LAYOUTS = ("soa", "dict")
-
-
-def layout_config(layout: str, **overrides):
-    cache = SegmentCacheConfig(l1_entries=4, l2_entries=8, l2_ways=2,
-                               layout=layout)
+def tiny_cache_config(**overrides):
+    """An SMC small enough that chunk cuts happen every few accesses."""
+    cache = SegmentCacheConfig(l1_entries=4, l2_entries=8, l2_ways=2)
     return small_config(cache=cache, **overrides)
 
 
@@ -76,18 +69,17 @@ def submit_migrations(controller: DtlController, count: int = 3) -> list[int]:
 # -- chunk-boundary migration writes (satellite: boundary-exact coverage) ----
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
-def test_migration_write_exactly_at_chunk_boundaries(layout):
-    """Writes to a migrating segment at every replay-chunk edge.
+def test_migration_write_exactly_at_chunk_boundaries():
+    """Writes to a migrating segment at every SMC chunk edge.
 
-    With ``l1_entries=4`` the SMC cuts a replay chunk every 4 distinct
+    With ``l1_entries=4`` the SMC cuts a batch chunk every 4 distinct
     HSNs, so a trace cycling >4 distinct segments crosses a boundary
     every 4 distincts.  The migrating segment is planted as both the
     *last* distinct of one chunk and the *first* distinct of the next —
     the exact seam where the write-routing protocol and the vectorised
     lookup hand off — and every touch of it is a write.
     """
-    config = layout_config(layout)
+    config = tiny_cache_config()
     scalar, batch = build_pair(config)
     hot_dsn = None
     for controller in (scalar, batch):
@@ -122,10 +114,9 @@ def test_migration_write_exactly_at_chunk_boundaries(layout):
             == batch.migration.stats.foreground_redirects)
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", [0, 11])
-def test_identity_with_migrations_random_trace_per_layout(layout, seed):
-    config = layout_config(layout)
+def test_identity_with_migrations_random_trace(seed):
+    config = tiny_cache_config()
     scalar, batch = build_pair(config)
     for controller in (scalar, batch):
         submit_migrations(controller)
@@ -147,12 +138,11 @@ def drive_to_profiling(*controllers: DtlController) -> None:
                    for c in range(controller.geometry.channels))
 
 
-@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", [0, 3])
-def test_identity_while_profiling_per_layout(layout, seed):
+def test_identity_while_profiling(seed):
     """CLOCK planner events fire mid-batch; identity must survive them."""
-    config = layout_config(layout, window_ns=1000.0,
-                          profiling_threshold_ns=5000.0)
+    config = tiny_cache_config(window_ns=1000.0,
+                               profiling_threshold_ns=5000.0)
     scalar, batch = build_pair(config)
     drive_to_profiling(scalar, batch)
     hpas, writes = random_trace(config, 400, seed)
@@ -332,97 +322,91 @@ def test_batch_path_never_counts_toward_scalar_warning():
     assert not controller._scalar_access_warned
 
 
-# -- dict vs SoA cache classes (property test) -------------------------------
+# -- SoA cache classes vs an OrderedDict LRU model (property test) ----------
 
 
-def _mirror_ops(soa, ref, hsn_space: int, seed: int, steps: int = 2000,
-                with_touch: bool = True):
+class LruModel:
+    """Reference LRU cache: ``sets`` OrderedDicts of ``ways`` entries each.
+
+    ``sets=1`` models the fully-associative L1.  Each OrderedDict keeps
+    its set in LRU order (first = least recent), which is the order the
+    SoA classes' ``hsns()`` reports.
+    """
+
+    def __init__(self, sets: int, ways: int):
+        self.ways = ways
+        self._sets = [OrderedDict() for _ in range(sets)]
+        self.hits = self.misses = self.invalidations = 0
+
+    def _set(self, hsn: int) -> OrderedDict:
+        return self._sets[hsn % len(self._sets)]
+
+    def lookup(self, hsn: int) -> int | None:
+        cache_set = self._set(hsn)
+        if hsn not in cache_set:
+            self.misses += 1
+            return None
+        self.hits += 1
+        cache_set.move_to_end(hsn)
+        return cache_set[hsn]
+
+    def insert(self, hsn: int, dsn: int) -> tuple[int, int] | None:
+        cache_set = self._set(hsn)
+        evicted = None
+        if hsn not in cache_set and len(cache_set) >= self.ways:
+            evicted = cache_set.popitem(last=False)
+        cache_set[hsn] = dsn
+        cache_set.move_to_end(hsn)
+        return evicted
+
+    def invalidate(self, hsn: int) -> bool:
+        if self._set(hsn).pop(hsn, None) is None:
+            return False
+        self.invalidations += 1
+        return True
+
+    def hsns(self) -> list[int]:
+        return [hsn for cache_set in self._sets for hsn in cache_set]
+
+    def items(self) -> list[tuple[int, int]]:
+        return [pair for cache_set in self._sets for pair in cache_set.items()]
+
+    def __contains__(self, hsn: int) -> bool:
+        return hsn in self._set(hsn)
+
+    def __len__(self) -> int:
+        return sum(len(cache_set) for cache_set in self._sets)
+
+
+def _mirror_ops(soa, ref: LruModel, hsn_space: int, seed: int,
+                steps: int = 2000):
     rng = np.random.default_rng(seed)
     for _ in range(steps):
-        op = rng.integers(0, 4 if with_touch else 3)
+        op = rng.integers(0, 3)
         hsn = int(rng.integers(0, hsn_space))
         if op == 0:
             assert soa.lookup(hsn) == ref.lookup(hsn)
         elif op == 1:
             dsn = int(rng.integers(0, 1 << 16))
             assert soa.insert(hsn, dsn) == ref.insert(hsn, dsn)
-        elif op == 2:
-            assert soa.invalidate(hsn) == ref.invalidate(hsn)
         else:
-            assert soa.touch(hsn) == ref.touch(hsn)
+            assert soa.invalidate(hsn) == ref.invalidate(hsn)
         assert (hsn in soa) == (hsn in ref)
         assert len(soa) == len(ref)
     assert soa.hsns() == ref.hsns()
     assert sorted(soa.items()) == sorted(ref.items())
-    assert soa.stats.hits == ref.stats.hits
-    assert soa.stats.misses == ref.stats.misses
-    assert soa.stats.invalidations == ref.stats.invalidations
+    assert soa.stats.hits == ref.hits
+    assert soa.stats.misses == ref.misses
+    assert soa.stats.invalidations == ref.invalidations
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_fully_associative_soa_matches_dict(seed):
-    _mirror_ops(FullyAssociativeCache(entries=8),
-                DictFullyAssociativeCache(entries=8),
+    _mirror_ops(FullyAssociativeCache(entries=8), LruModel(sets=1, ways=8),
                 hsn_space=32, seed=seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_set_associative_soa_matches_dict(seed):
     _mirror_ops(SetAssociativeCache(entries=16, ways=2),
-                DictSetAssociativeCache(entries=16, ways=2),
-                hsn_space=64, seed=seed, with_touch=False)
-
-
-# -- numba kernel flag (satellite: optional compiled kernels) ----------------
-
-
-def test_kernels_disabled_without_flag():
-    assert not _kernels.NUMBA_ENABLED or _kernels.numba_requested()
-    if not _kernels.NUMBA_ENABLED:
-        assert _kernels.unpack_dsn_batch(np.zeros(1, dtype=np.int64),
-                                         1, 5, 2, 256) is None
-        assert _kernels.dpa_of_batch(np.zeros(1, dtype=np.int64),
-                                     np.zeros(1, dtype=np.int64),
-                                     21, 2 * MIB) is None
-        assert _kernels.split_hpa_batch(np.zeros(1, dtype=np.int64),
-                                        21, 2 * MIB - 1) is None
-
-
-def test_flag_without_numba_degrades_gracefully(monkeypatch):
-    """``REPRO_NUMBA=1`` with numba missing must fall back silently."""
-    monkeypatch.setenv("REPRO_NUMBA", "1")
-    assert _kernels.numba_requested()
-    try:
-        import numba  # noqa: F401
-        has_numba = True
-    except ImportError:
-        has_numba = False
-    module = importlib.reload(_kernels)
-    try:
-        assert module.NUMBA_ENABLED == has_numba
-        if not has_numba:
-            assert module.unpack_dsn_batch(np.zeros(1, dtype=np.int64),
-                                           1, 5, 2, 256) is None
-    finally:
-        monkeypatch.delenv("REPRO_NUMBA")
-        importlib.reload(_kernels)
-
-
-def test_identity_with_numba_kernels():
-    """Bit-identity with the compiled kernels active (CI numba leg)."""
-    pytest.importorskip("numba")
-    import os
-    os.environ["REPRO_NUMBA"] = "1"
-    try:
-        importlib.reload(_kernels)
-        assert _kernels.NUMBA_ENABLED
-        config = small_config()
-        scalar, batch = build_pair(config)
-        hpas, writes = random_trace(config, 600, 0)
-        scalar_results = run_scalar(scalar, hpas, writes)
-        batch_result = batch.access_batch(0, hpas, writes)
-        assert_results_match(scalar_results, batch_result)
-        assert_state_match(scalar, batch)
-    finally:
-        del os.environ["REPRO_NUMBA"]
-        importlib.reload(_kernels)
+                LruModel(sets=8, ways=2), hsn_space=64, seed=seed)
