@@ -312,9 +312,9 @@ class DtlController:
                now_ns: float = 0.0) -> AccessResult:
         """One host load/store through the CXL + DTL datapath."""
         # Only user-initiated access() calls count toward the
-        # PerformanceWarning threshold.  Batch-internal scalar replays
-        # (fault-plan replay, self-refresh event replay) go through
-        # _access_one / policy hooks directly and must never trip the
+        # PerformanceWarning threshold.  Batch-internal scalar steps
+        # (SMC-corruption cuts, self-refresh event replay) call the
+        # translation / policy hooks directly and must never trip the
         # "switch to access_batch" warning — the caller already did.
         self._scalar_access_calls += 1
         if (self._scalar_access_calls > SCALAR_ACCESS_WARN_THRESHOLD
@@ -325,11 +325,6 @@ class DtlController:
                 "on one controller; access_batch() serves long traces "
                 "orders of magnitude faster (see docs/PERF.md)",
                 PerformanceWarning, stacklevel=2)
-        return self._access_one(host_id, hpa, is_write, now_ns)
-
-    def _access_one(self, host_id: int, hpa: int, is_write: bool,
-                    now_ns: float) -> AccessResult:
-        """The :meth:`access` body (also the batch path's scalar replay)."""
         hsn_local = self.host_layout.hsn_of_hpa(hpa)
         # HPAs arriving from a host are host-local; fold in the host ID.
         _, au_id, au_offset = self._split_local_hsn(hsn_local)
@@ -386,12 +381,13 @@ class DtlController:
 
         Bit-identical to calling :meth:`access` once per element in
         order: DSNs, hit classes, per-access latencies, wake penalties,
-        write routing, cache/counter state, and power states all match
-        the scalar loop (float *totals* and trace buffer ordering can
-        differ; see docs/PERF.md).  Only two conditions fall back to
-        scalar replay, and only for the affected subset: writes to
-        segments with a tracked migration, and accesses on channels whose
-        self-refresh state machine could change mid-batch.
+        write routing, cache/counter state, power states and fault-
+        injector counters all match the scalar loop (float *totals* and
+        trace buffer ordering can differ; see docs/PERF.md).  Only three
+        kinds of access replay through scalar protocol code: writes to
+        segments with a tracked migration, accesses on channels whose
+        self-refresh state machine could change mid-batch, and the SMC
+        lookup of an access where an armed plan fires a corruption.
         """
         hpas = np.asarray(hpas, dtype=np.int64)
         n = len(hpas)
@@ -402,20 +398,12 @@ class DtlController:
             if len(writes) != n:
                 raise ValueError(
                     f"writes length {len(writes)} != hpas length {n}")
-        # An *active* fault plan can perturb any access (ECC, link faults,
-        # SMC corruption), so the whole batch replays through the scalar
-        # protocol in order.  Checked once per batch; an armed injector
-        # whose plan has no specs keeps the exact vectorised path so its
-        # telemetry stays bit-identical to an unarmed run.
-        if self._faults is not None and self._faults.active:
-            return self._replay_batch_scalar(host_id, hpas, writes, now_ns)
         host = self.host_layout
         hsn_locals, offsets = host.split_hpa_batch(hpas)
         au_ids = hsn_locals // host.segments_per_au
         au_offsets = hsn_locals % host.segments_per_au
         hsns = host.pack_hsn_batch(host_id, au_ids, au_offsets)
-        dsns, xlat_ns, l1_hits, l2_hits = \
-            self.translation.translate_hsn_batch(hsns)
+        dsns, xlat_ns, l1_hits, l2_hits = self._translate_batch(hsns)
         routed_new = np.zeros(n, dtype=bool)
         # Write routing: segments without a tracked migration route
         # OLD_DSN with no side effects, so only writes hitting tracked
@@ -444,6 +432,12 @@ class DtlController:
             wake_ns = np.zeros(n, dtype=np.float64)
         dpas = self.device_layout.dpa_of_batch(dsns, offsets)
         latency_ns = self.cxl_latency_ns + xlat_ns + wake_ns
+        if self._faults is not None:
+            # Hooks cxl.access and dram.access for the whole batch, from
+            # the plan's counter arithmetic; link-fault latency adds
+            # last, as in access().
+            latency_ns += self._faults.on_access_batch(
+                channels, ranks, self.device, now_ns)
         self._accesses.inc(n)
         self._writes.inc(int(writes.sum()))
         self._redirects.inc(int(routed_new.sum()))
@@ -462,28 +456,37 @@ class DtlController:
             latency_ns=latency_ns, smc_l1_hits=l1_hits, smc_l2_hits=l2_hits,
             wake_penalty_ns=wake_ns, routed_to_new_dsn=routed_new)
 
-    def _replay_batch_scalar(self, host_id: int, hpas: np.ndarray,
-                             writes: np.ndarray,
-                             now_ns: float) -> BatchAccessResult:
-        """Element-wise replay of a batch under an active fault plan."""
-        results = [self._access_one(host_id, int(hpa), bool(write), now_ns)
-                   for hpa, write in zip(hpas, writes)]
-        return BatchAccessResult(
-            hpas=hpas,
-            dsns=np.array([r.dsn for r in results], dtype=np.int64),
-            dpas=np.array([r.dpa for r in results], dtype=np.int64),
-            channels=np.array([r.channel for r in results], dtype=np.int64),
-            ranks=np.array([r.rank for r in results], dtype=np.int64),
-            latency_ns=np.array([r.latency_ns for r in results],
-                                dtype=np.float64),
-            smc_l1_hits=np.array([r.smc_l1_hit for r in results],
-                                 dtype=bool),
-            smc_l2_hits=np.array([r.smc_l2_hit for r in results],
-                                 dtype=bool),
-            wake_penalty_ns=np.array([r.wake_penalty_ns for r in results],
-                                     dtype=np.float64),
-            routed_to_new_dsn=np.array([r.routed_to_new_dsn
-                                        for r in results], dtype=bool))
+    def _translate_batch(self, hsns: np.ndarray,
+                         ) -> tuple[np.ndarray, np.ndarray,
+                                    np.ndarray, np.ndarray]:
+        """:meth:`TranslationEngine.translate_hsn_batch` with the armed
+        plan's smc.lookup hook.
+
+        Of the per-access faults only an SMC corruption feeds back into
+        later accesses: it drops the entry its access just used, which
+        changes what later lookups in the batch hit.  So the batch is cut
+        at each access where a corruption fires; that access runs the
+        scalar lookup and hook, and the stretches between cuts translate
+        in bulk.
+        """
+        if self._faults is None:
+            return self.translation.translate_hsn_batch(hsns)
+        parts: list[tuple] = []
+        begin = 0
+        for cut in self._faults.smc_cuts(len(hsns)):
+            if cut > begin:
+                parts.append(self.translation.translate_hsn_batch(
+                    hsns[begin:cut]))
+                self._faults.skip_smc_lookups(cut - begin)
+            hsn = int(hsns[cut])
+            parts.append(self.translation.translate_hsn(hsn))
+            self._faults.on_smc_lookup(hsn, self.translation)
+            begin = cut + 1
+        parts.append(self.translation.translate_hsn_batch(hsns[begin:]))
+        self._faults.skip_smc_lookups(len(hsns) - begin)
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.hstack(column) for column in zip(*parts))
 
     def _wake_ranks_holding(self, dsns: list[int], now_s: float) -> None:
         """Exit self-refresh on any rank receiving fresh allocations.

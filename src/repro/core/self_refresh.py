@@ -329,10 +329,18 @@ class HotnessSelfRefreshPolicy:
         Returns the latency penalty (ns) if the access woke a rank out of
         self-refresh, else 0.0.
         """
+        return self._on_access(dsn, now_ns)
+
+    def _on_access(self, dsn: int, now_ns: float,
+                   exits: list[tuple[int, float]] | None = None,
+                   index: int = -1) -> float:
+        """:meth:`on_access`; with ``exits``, a wake is queued there as
+        ``(index, base penalty)`` for :meth:`on_access_batch` to charge."""
         channel = self._channel_of(dsn)
         rank = self._rank_of(dsn)
         state = self._channels[channel]
-        penalty = self._wake_if_needed(channel, rank, state, now_ns)
+        penalty = self._wake_if_needed(channel, rank, state, now_ns, exits,
+                                       index)
         self.device.rank(channel, rank).record_access()
         state.window_counts[rank] = state.window_counts.get(rank, 0) + 1
         self.access_bits[dsn] = True
@@ -380,7 +388,9 @@ class HotnessSelfRefreshPolicy:
         Events self-extinguish (a hot segment is planned out of the
         victim rank by its own hit), so the scan count stays small; a
         channel that somehow exceeds ``_batch_event_limit`` events
-        replays its remaining tail element-wise.
+        replays its remaining tail element-wise.  Wakes charge their
+        exit penalty (and the ``sr.exit`` fault hook) after the channel
+        loop, in global access order, as the scalar loop does.
 
         The event screen is policy-independent: a policy only changes
         *which* segments are planned into the victim ranks, and the
@@ -394,11 +404,19 @@ class HotnessSelfRefreshPolicy:
             return penalties
         channels = dsns & self._channel_mask
         ranks = (dsns >> self._rank_shift) & self._rank_mask
-        for channel in np.unique(channels):
-            channel = int(channel)
-            idx = np.nonzero(channels == channel)[0]
-            self._run_channel_batch(channel, dsns[idx], ranks[idx], idx,
-                                    penalties, now_ns)
+        exits: list[tuple[int, float]] = []
+        try:
+            for channel in np.unique(channels):
+                channel = int(channel)
+                idx = np.nonzero(channels == channel)[0]
+                self._run_channel_batch(channel, dsns[idx], ranks[idx], idx,
+                                        penalties, now_ns, exits)
+        finally:
+            # Wakes replay channel by channel, but the sr.exit fault hook
+            # counts device-wide: charge them in global access order, as
+            # the scalar loop does.
+            for index, penalty in sorted(exits):
+                penalties[index] = self._charge_exit(penalty)
         return penalties
 
     def _bulk_apply(self, channel: int, state: _ChannelState,
@@ -422,8 +440,10 @@ class HotnessSelfRefreshPolicy:
 
     def _run_channel_batch(self, channel: int, ch_dsns: np.ndarray,
                            ch_ranks: np.ndarray, idx: np.ndarray,
-                           penalties: np.ndarray, now_ns: float) -> None:
-        """Event-loop application of one channel's slice of a batch."""
+                           penalties: np.ndarray, now_ns: float,
+                           exits: list[tuple[int, float]]) -> None:
+        """Event-loop application of one channel's slice of a batch
+        (wakes queue on ``exits``)."""
         state = self._channels[channel]
         n = len(ch_dsns)
         p = 0
@@ -454,13 +474,16 @@ class HotnessSelfRefreshPolicy:
                 self._bulk_apply(channel, state, tail_dsns[:cut],
                                  ch_ranks[p:p + cut])
             pos = p + cut
-            penalties[idx[pos]] = self.on_access(int(ch_dsns[pos]), now_ns)
+            index = int(idx[pos])
+            penalties[index] = self._on_access(int(ch_dsns[pos]), now_ns,
+                                               exits, index)
             p = pos + 1
             events += 1
             if events >= self._batch_event_limit:
                 for q in range(p, n):
-                    penalties[idx[q]] = self.on_access(int(ch_dsns[q]),
-                                                       now_ns)
+                    index = int(idx[q])
+                    penalties[index] = self._on_access(int(ch_dsns[q]),
+                                                       now_ns, exits, index)
                 return
 
     def on_batch(self, dsns: np.ndarray, now_ns: float,
@@ -518,7 +541,9 @@ class HotnessSelfRefreshPolicy:
         return penalty
 
     def _wake_if_needed(self, channel: int, rank: int, state: _ChannelState,
-                        now_ns: float) -> float:
+                        now_ns: float,
+                        exits: list[tuple[int, float]] | None = None,
+                        index: int = -1) -> float:
         rank_obj = self.device.rank(channel, rank)
         if rank_obj.state is not PowerState.SELF_REFRESH:
             return 0.0
@@ -545,14 +570,22 @@ class HotnessSelfRefreshPolicy:
                 gap_ns = now_ns - state.last_sr_entry_ns
                 self._idle_gap_hist.observe(gap_ns)
                 self.policy.observe_idle_gap("sr", channel, member, gap_ns)
-        # Injected delayed/failed self-refresh exit (hook: sr.exit).
-        if self._faults is not None:
-            penalty += self._faults.on_power_exit("sr", penalty)
-        self._exit_penalty_ns.inc(penalty)
+        if exits is None:
+            penalty = self._charge_exit(penalty)
+        else:
+            exits.append((index, penalty))
         # Re-profile: the freshly woken block has the fewest recent accesses
         # so it is re-selected as the victim, and the few segments that woke
         # it are planned out — the paper's cheap re-entry path.
         self.start_profiling(channel, now_ns)
+        return penalty
+
+    def _charge_exit(self, penalty: float) -> float:
+        """Final penalty of one victim-block wake, added to the total."""
+        # Injected delayed/failed self-refresh exit (hook: sr.exit).
+        if self._faults is not None:
+            penalty += self._faults.on_power_exit("sr", penalty)
+        self._exit_penalty_ns.inc(penalty)
         return penalty
 
     def _profiling_update(self, dsn: int, state: _ChannelState, rank: int,

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 class HookPoint(enum.Enum):
     """Every named place the datapath can consult the fault injector."""
 
-    #: One CXL.mem transaction (scalar access path); link errors and
-    #: stalls add retry/backoff latency here.
+    #: One CXL.mem transaction; link errors and stalls add
+    #: retry/backoff latency here.
     CXL_ACCESS = "cxl.access"
     #: One SMC lookup; corruption faults drop the cached entry (parity
     #: detection) and force a table re-walk on the next access.

@@ -2,12 +2,15 @@
 
 One injector is armed on a :class:`~repro.core.controller.DtlController`
 (:meth:`~repro.core.controller.DtlController.arm_faults`) and shared by
-every subsystem below it.  Each hook method is called from exactly one
-guarded site in the datapath (see
+every subsystem below it.  Each hook method is called from guarded
+sites in the one module its catalog entry names (see
 :data:`~repro.faults.hooks.HOOK_CATALOG`); the injector counts eligible
 events per spec and fires on the counter arithmetic documented in
 :mod:`repro.faults.plan` — no clock, no RNG, so a replay of the same
-plan over the same workload is bit-identical.
+plan over the same workload is bit-identical.  The batch datapath uses
+the same arithmetic in closed form (:meth:`FaultInjector.smc_cuts`,
+:meth:`FaultInjector.on_access_batch`) and fires exactly what the
+per-access hooks would.
 
 Telemetry is **lazy**: no ``faults.*`` metric exists in the registry
 until the first fault actually fires.  An armed injector whose plan
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+import numpy as np
 
 from repro.cxl.link import CxlLinkConfig
 from repro.faults.hooks import HookPoint
@@ -192,6 +197,50 @@ class FaultInjector:
             self._trace.record(EventKind.FAULT_INJECTED, point=point.value,
                                fault=type(spec).__name__, **data)
 
+    def _advance(self, index: int, spec: FaultSpec, count: int) -> range:
+        """Advance spec ``index`` over ``count`` eligible events at once;
+        returns the offsets (among those events) that fire."""
+        offsets = spec.fire_offsets(self._spec_visits[index], count,
+                                    self._spec_fires[index])
+        self._spec_visits[index] += count
+        self._spec_fires[index] += len(offsets)
+        return offsets
+
+    def _cxl_fire(self, spec: CxlLinkFault, extra: float,
+                  now_ns: float) -> float:
+        """Account one link fault on a transaction already charged
+        ``extra`` ns by earlier specs; returns the new extra."""
+        if spec.kind == "stall":
+            extra += spec.stall_ns
+        else:
+            extra += self._link.replay_latency_ns(spec.retries,
+                                                  spec.backoff_ns)
+            self.cxl_retry_counts[spec.retries] = (
+                self.cxl_retry_counts.get(spec.retries, 0) + 1)
+            if self._registry is not None:
+                self._registry.histogram(
+                    "faults.cxl.retries",
+                    bounds=RETRY_BUCKETS).observe(float(spec.retries))
+        self.detected += 1
+        self.recovered += 1  # bounded retry always succeeds here
+        self._fired(HookPoint.CXL_ACCESS, spec, time=now_ns,
+                    fault_kind=spec.kind, extra_ns=extra)
+        return extra
+
+    def _ecc_fire(self, spec: EccFault, channel: int, rank: int, device,
+                  now_s: float) -> None:
+        """Account one ECC error on ``(channel, rank)``."""
+        corrected = device.record_ecc_error((channel, rank), bits=spec.bits,
+                                            now_s=now_s)
+        self.detected += 1
+        if corrected:
+            self.ecc_corrected += 1
+            self.recovered += 1
+        else:
+            self.ecc_uncorrected += 1
+        self._fired(HookPoint.DRAM_ACCESS, spec, channel=channel, rank=rank,
+                    bits=spec.bits)
+
     # -- hook methods (one per catalog entry) -------------------------------------
 
     def on_cxl_access(self, now_ns: float = 0.0) -> float:
@@ -199,24 +248,8 @@ class FaultInjector:
         self._visits[HookPoint.CXL_ACCESS] += 1
         extra = 0.0
         for index, spec in self._by_hook[HookPoint.CXL_ACCESS]:
-            if not self._eligible(index, spec):
-                continue
-            assert isinstance(spec, CxlLinkFault)
-            if spec.kind == "stall":
-                extra += spec.stall_ns
-            else:
-                extra += self._link.replay_latency_ns(spec.retries,
-                                                      spec.backoff_ns)
-                self.cxl_retry_counts[spec.retries] = (
-                    self.cxl_retry_counts.get(spec.retries, 0) + 1)
-                if self._registry is not None:
-                    self._registry.histogram(
-                        "faults.cxl.retries",
-                        bounds=RETRY_BUCKETS).observe(float(spec.retries))
-            self.detected += 1
-            self.recovered += 1  # bounded retry always succeeds here
-            self._fired(HookPoint.CXL_ACCESS, spec, time=now_ns,
-                        fault_kind=spec.kind, extra_ns=extra)
+            if self._eligible(index, spec):
+                extra = self._cxl_fire(spec, extra, now_ns)
         return extra
 
     def on_smc_lookup(self, hsn: int, translation) -> bool:
@@ -244,20 +277,8 @@ class FaultInjector:
         self._visits[HookPoint.DRAM_ACCESS] += 1
         for index, spec in self._by_hook[HookPoint.DRAM_ACCESS]:
             assert isinstance(spec, EccFault)
-            if not spec.applies_to(channel, rank):
-                continue
-            if not self._eligible(index, spec):
-                continue
-            corrected = device.record_ecc_error((channel, rank),
-                                                bits=spec.bits, now_s=now_s)
-            self.detected += 1
-            if corrected:
-                self.ecc_corrected += 1
-                self.recovered += 1
-            else:
-                self.ecc_uncorrected += 1
-            self._fired(HookPoint.DRAM_ACCESS, spec, channel=channel,
-                        rank=rank, bits=spec.bits)
+            if spec.applies_to(channel, rank) and self._eligible(index, spec):
+                self._ecc_fire(spec, channel, rank, device, now_s)
 
     def on_migration_copy(self, request, channel: int) -> bool:
         """Abort check before one copy step; True aborts the request.
@@ -301,6 +322,67 @@ class FaultInjector:
             self.recovered += 1  # the exit eventually succeeds
             self._fired(point, spec, fault_kind=spec.kind,
                         base_penalty_ns=penalty_ns, extra_ns=extra)
+        return extra
+
+    # -- batch form of the per-access hooks ----------------------------------------
+
+    def smc_cuts(self, count: int) -> list[int]:
+        """Offsets among the next ``count`` SMC lookups where a
+        corruption fires.
+
+        These are the only per-access fires that feed back into later
+        accesses (the dropped entry changes what they hit), so the batch
+        datapath runs exactly these lookups through :meth:`on_smc_lookup`
+        and passes the stretches between them to
+        :meth:`skip_smc_lookups`.
+        """
+        return sorted({offset
+                       for index, spec in self._by_hook[HookPoint.SMC_LOOKUP]
+                       for offset in spec.fire_offsets(
+                           self._spec_visits[index], count,
+                           self._spec_fires[index])})
+
+    def skip_smc_lookups(self, count: int) -> None:
+        """Count ``count`` SMC lookups that hold no :meth:`smc_cuts`
+        offset (they fire nothing)."""
+        self._visits[HookPoint.SMC_LOOKUP] += count
+        for index, spec in self._by_hook[HookPoint.SMC_LOOKUP]:
+            fired = self._advance(index, spec, count)
+            assert not fired, "SMC corruption inside a skipped stretch"
+
+    def on_access_batch(self, channels: np.ndarray, ranks: np.ndarray,
+                       device, now_ns: float = 0.0) -> np.ndarray:
+        """:meth:`on_cxl_access` and :meth:`on_dram_access` over a batch.
+
+        Equivalent to calling both once per access, in order, with
+        ``channels``/``ranks`` the post-routing targets: fires come from
+        :meth:`~repro.faults.plan.FaultSpec.fire_offsets` and are
+        accounted in (access, spec) order per hook.  Returns the
+        per-access CXL extra latency (ns).
+        """
+        n = len(channels)
+        self._visits[HookPoint.CXL_ACCESS] += n
+        self._visits[HookPoint.DRAM_ACCESS] += n
+        extra = np.zeros(n, dtype=np.float64)
+        fires = sorted((offset, index, spec)
+                       for index, spec in self._by_hook[HookPoint.CXL_ACCESS]
+                       for offset in self._advance(index, spec, n))
+        for offset, _, spec in fires:
+            extra[offset] = self._cxl_fire(spec, float(extra[offset]), now_ns)
+        fires = []
+        for index, spec in self._by_hook[HookPoint.DRAM_ACCESS]:
+            assert isinstance(spec, EccFault)
+            positions = range(n)
+            if spec.channel >= 0 or spec.rank >= 0:
+                positions = np.flatnonzero(
+                    ((channels == spec.channel) | (spec.channel < 0))
+                    & ((ranks == spec.rank) | (spec.rank < 0)))
+            fires.extend((int(positions[offset]), index, spec)
+                         for offset in self._advance(index, spec,
+                                                     len(positions)))
+        for position, _, spec in sorted(fires):
+            self._ecc_fire(spec, int(channels[position]),
+                           int(ranks[position]), device, now_ns / 1e9)
         return extra
 
     # -- serialisation -----------------------------------------------------------

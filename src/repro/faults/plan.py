@@ -69,6 +69,20 @@ class FaultSpec:
             return False
         return (visit - self.start) % self.period == 0
 
+    def fire_offsets(self, visit: int, count: int, fired: int = 0) -> range:
+        """Offsets from ``visit`` of the fires among the next ``count``
+        eligible events — the closed form of calling :meth:`matches` on
+        events ``visit .. visit + count - 1`` in order, counting fires."""
+        end = visit + count
+        if self.stop:
+            end = min(end, self.stop)
+        first = max(visit, self.start)
+        first += -(first - self.start) % self.period
+        offsets = range(first - visit, end - visit, self.period)
+        if self.max_fires:
+            offsets = offsets[:max(0, self.max_fires - fired)]
+        return offsets
+
 
 @dataclass(frozen=True)
 class CxlLinkFault(FaultSpec):

@@ -27,6 +27,9 @@ from repro.core.self_refresh import ChannelPhase
 from repro.dram.geometry import DramGeometry
 from repro.dram.power import PowerState
 from repro.errors import PerformanceWarning, PowerStateError
+from repro.faults import FaultInjector, FaultPlan, PowerExitFault
+from repro.server.server import small_dtl_config
+from repro.units import MIB
 
 from tests.core.test_batch_identity import (SMALL_GEOMETRY, assert_results_match,
                                             assert_state_match, build_pair,
@@ -197,6 +200,53 @@ def test_profiling_channel_rank_in_mpsm_raises_at_same_access():
     b_counts = {rank_id: r.access_count
                 for rank_id, r in batch.device.ranks.items()}
     assert s_counts == b_counts
+
+
+# -- self-refresh exits under an armed plan (global hook order) --------------
+
+
+def test_sr_exit_faults_charge_in_global_access_order():
+    """The sr.exit hook counts device-wide, so wakes charge in access order.
+
+    ``on_access_batch`` replays wake events channel by channel.  With a
+    ``PowerExitFault(target="sr", period=2)`` the fault lands on every
+    other wake *in global access order*: batch 46 below wakes channel 1
+    at index 12 and channel 0 at index 28, and the scalar loop charges
+    the fault to index 12 (2500 ns, then 500 ns).  A per-channel replay
+    would charge index 28 instead; the totals would still agree.
+    """
+    config = small_dtl_config()
+    plan = FaultPlan(name="sr-exit", specs=(
+        PowerExitFault(target="sr", period=2, kind="fail", failures=2),))
+    scalar, batch = (DtlController(config) for _ in range(2))
+    for controller in (scalar, batch):
+        controller.arm_faults(FaultInjector(
+            plan, registry=controller.metrics, trace=controller.trace))
+        controller.allocate_vm(0, 48 * MIB)
+    rng = np.random.default_rng(0)
+    seg = config.geometry.segment_bytes
+    segments = 48 * MIB // seg
+    crossed = False
+    for batch_index in range(50):
+        hpas = (rng.zipf(1.2, 128) % segments * seg
+                + rng.integers(0, seg, 128)).astype(np.int64)
+        writes = rng.random(128) < 0.3
+        now_ns = batch_index * 100_000.0
+        scalar_results = run_scalar(scalar, hpas, writes, now_ns=now_ns)
+        batch_result = batch.access_batch(0, hpas, writes, now_ns=now_ns)
+        assert_results_match(scalar_results, batch_result)
+        woken = [r.channel for r in scalar_results if r.wake_penalty_ns]
+        crossed |= woken != sorted(woken)
+        for controller in (scalar, batch):
+            controller.tick(now_ns + 100_000.0)
+            controller.end_window()
+            controller.pump_migrations((now_ns + 100_000.0) / 1e9,
+                                        lines=64)
+    assert crossed, "no batch woke a later channel before an earlier one"
+    assert_state_match(scalar, batch)
+    assert scalar._faults.state_dict() == batch._faults.state_dict()
+    assert (scalar.self_refresh.exit_penalty_total_ns
+            == batch.self_refresh.exit_penalty_total_ns)
 
 
 # -- rank-mask decodes (satellite: phantom rank indices) ---------------------

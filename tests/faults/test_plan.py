@@ -1,6 +1,8 @@
 """Fault-plan schedule arithmetic and validation."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.faults.hooks import HookPoint
@@ -36,6 +38,51 @@ class TestFaultSpecSchedule:
     def test_invalid_schedule_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             FaultSpec(**kwargs)
+
+
+def fire_offsets_by_loop(spec: FaultSpec, visit: int, count: int,
+                         fired: int) -> list[int]:
+    """The definition: ``matches`` on each eligible event in order."""
+    offsets = []
+    for offset in range(count):
+        if spec.matches(visit + offset, fired):
+            offsets.append(offset)
+            fired += 1
+    return offsets
+
+
+@st.composite
+def spec_schedules(draw) -> FaultSpec:
+    start = draw(st.integers(0, 50))
+    stop = draw(st.one_of(st.just(0), st.integers(start + 1, start + 120)))
+    return FaultSpec(start=start, period=draw(st.integers(1, 20)), stop=stop,
+                     max_fires=draw(st.integers(0, 8)))
+
+
+class TestFireOffsets:
+    @settings(max_examples=300, deadline=None)
+    @given(spec=spec_schedules(), visit=st.integers(0, 200),
+           count=st.integers(0, 200), fired=st.integers(0, 10))
+    def test_matches_definition(self, spec, visit, count, fired):
+        assert (list(spec.fire_offsets(visit, count, fired))
+                == fire_offsets_by_loop(spec, visit, count, fired))
+
+    @pytest.mark.parametrize("spec,visit,count,fired,expected", [
+        # Straddles start: the first fire is start itself.
+        (FaultSpec(start=10, period=4), 7, 12, 0, [3, 7, 11]),
+        # Straddles stop: nothing at or after stop.
+        (FaultSpec(start=0, period=3, stop=10), 5, 20, 0, [1, 4]),
+        # Exhausts max_fires partway, counting earlier fires.
+        (FaultSpec(period=2, max_fires=5), 0, 40, 3, [0, 2]),
+        (FaultSpec(period=1, max_fires=2), 0, 9, 2, []),
+        # count=0 never fires, even on a firing visit.
+        (FaultSpec(), 0, 0, 0, []),
+        # Mid-period visit rounds up to the next firing event.
+        (FaultSpec(start=1, period=5), 3, 10, 0, [3, 8]),
+    ])
+    def test_edges(self, spec, visit, count, fired, expected):
+        assert list(spec.fire_offsets(visit, count, fired)) == expected
+        assert expected == fire_offsets_by_loop(spec, visit, count, fired)
 
 
 class TestSpecValidation:
